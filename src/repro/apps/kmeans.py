@@ -48,6 +48,8 @@ class _VectorSumCombiner(Combiner):
             acc[i] += x
         return (acc, count + n)
 
+    merge = update  # a partial (sum, count) state is shaped like a value
+
     def finish(self, state):
         return [(tuple(state[0]), state[1])]
 

@@ -42,6 +42,10 @@ class _ArraySumCombiner(Combiner):
         state += value
         return state
 
+    def merge(self, state: np.ndarray, other: np.ndarray) -> np.ndarray:
+        """Add partial sums out of place: absorbed arrays may be read-only."""
+        return state + other
+
 
 def _array_container() -> HashContainer:
     return HashContainer(_ArraySumCombiner())

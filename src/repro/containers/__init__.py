@@ -3,9 +3,9 @@
 Phoenix++ generalizes across workloads by letting the application choose
 the intermediate container (paper section V.B):
 
-* :class:`~repro.containers.hash_container.HashContainer` — keys hash to
-  cells; right for word-count-shaped jobs where a huge input collapses to
-  a small intermediate set (combining on insert).
+* :class:`~repro.containers.hash_container.HashContainer` — one combined
+  state per key, fed by per-task dicts; right for word-count-shaped jobs
+  where a huge input collapses to a small intermediate set.
 * :class:`~repro.containers.array_container.ArrayContainer` — Phoenix's
   "unlocked storage": every map task appends to its own pre-assigned
   segment with no synchronization; right for sort-shaped jobs whose

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterator
+from typing import Any, Hashable
 
 from repro.errors import ContainerError
 
@@ -133,14 +133,3 @@ class Emitter:
     def emit(self, key: Hashable, value: Any) -> None:
         """Route one (key, value) pair into the container."""
         raise NotImplementedError  # pragma: no cover - subclasses bind this
-
-    def __call__(self, key: Hashable, value: Any) -> None:
-        self.emit(key, value)
-
-
-def iter_partition_keys(
-    partition: list[tuple[Hashable, Any]],
-) -> Iterator[Hashable]:
-    """Keys of one reducer partition, in partition order."""
-    for key, _values in partition:
-        yield key

@@ -27,20 +27,15 @@ class Combiner(abc.ABC):
         """Values handed to the reducer for this key."""
         return [state]
 
+    @abc.abstractmethod
     def merge(self, state: Any, other: Any) -> Any:
         """Fold two per-key states into one (parallel partial merge).
 
-        The process backend combines per worker, then the parent merges
-        each key's partial states; ``merge`` must satisfy
+        Every backend combines per map task, then merges each key's
+        partial states in task order; ``merge`` must satisfy
         ``merge(fold(A), fold(B)) == fold(A + B)`` for the job to be
-        backend-independent.  Order-sensitive combiners that cannot
-        offer that should leave this unimplemented, which disables
-        in-worker combining rather than silently changing results.
+        backend-independent.  It may update ``state`` in place.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} cannot merge partial states; "
-            "the process backend needs merge() for in-worker combining"
-        )
 
 
 class SumCombiner(Combiner):

@@ -1,21 +1,21 @@
-"""Sharded hash container with on-insert combining.
+"""Hash container: on-insert combining in per-task dicts (Phoenix++'s default).
 
-The Phoenix++ default: each key hashes to a cell; emitting checks the
-cell and combines.  Good when the intermediate set is much smaller than
-the input (word count), poor for sort-shaped jobs with unique keys — the
-per-emit key lookup and the reduce-phase sweep over cells are exactly the
-costs the paper calls out in section V.B.
-
-Sharding bounds lock contention: each shard has its own mutex, and a map
-task only locks the shard its key hashes to.  (Under CPython the GIL
-already serializes bytecode, but the locking discipline keeps the
-implementation faithful and safe for alternative interpreters.)
+Right when many emits collapse to few keys (word count), wasted on
+unique keys (sort, paper section V.B).  ``emitter(task_id)`` registers a
+private dict per map task, so an emit is one dict lookup plus
+``Combiner.update``: no lock, no key hash, no open-check.  Pending dicts
+fold into the one table with ``Combiner.merge`` in task-id order where
+no task emits (``begin_round``, ``seal``, ``drain``, ``absorb``,
+``stats``, ``len``), closing their handles — the same fold tree as the
+process backend's drain/absorb.  Only ``partitions`` hashes keys, with
+``stable_hash``, so placement matches across processes and hosts.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Hashable
+from operator import attrgetter
+from typing import Any, Hashable, Iterable
 
 from repro.containers.base import (
     Container,
@@ -28,39 +28,81 @@ from repro.errors import ContainerError
 from repro.util.hashing import stable_hash
 
 
-class _HashEmitter(Emitter):
-    __slots__ = ()
+class _Closed:
+    """Stands in for a folded task dict: emitting through it fails."""
+
+    def __contains__(self, key: Hashable) -> bool:
+        raise ContainerError("emit after seal or after the task's wave ended")
+
+
+_CLOSED = _Closed()
+_by_task = attrgetter("task_id")
+
+
+class _TaskEmitter(Emitter):
+    __slots__ = ("local", "emits", "_initial", "_update")
+
+    def __init__(self, container: "HashContainer", task_id: int) -> None:
+        super().__init__(container, task_id)
+        self.local: Any = {}
+        self.emits = 0
+        self._initial = container.combiner.initial
+        self._update = container.combiner.update
 
     def emit(self, key: Hashable, value: Any) -> None:
-        self.container._insert(key, value)  # type: ignore[attr-defined]
+        local = self.local
+        if key in local:
+            local[key] = self._update(local[key], value)
+        else:
+            local[key] = self._initial(value)
+        self.emits += 1
 
 
 class HashContainer(Container):
-    """Thread-safe hash of key -> combined state."""
+    """Hash of key -> combined state, fed by per-task dicts."""
 
-    def __init__(self, combiner: Combiner | None = None, shards: int = 16) -> None:
+    def __init__(self, combiner: Combiner | None = None) -> None:
         super().__init__()
-        if shards < 1:
-            raise ContainerError("shards must be >= 1")
         self.combiner = combiner or ListCombiner()
-        self._shards = [dict() for _ in range(shards)]
-        self._locks = [threading.Lock() for _ in range(shards)]
+        self._table: dict[Hashable, Any] = {}
+        self._pending: list[_TaskEmitter] = []
+        self._lock = threading.Lock()
         self._emits = 0
 
-    def emitter(self, task_id: int) -> Emitter:
-        """A task-bound emit handle (shared shards underneath)."""
-        return _HashEmitter(self, task_id)
+    def begin_round(self) -> None:
+        """Fold the ended wave's task dicts, then start a new wave."""
+        self._fold()
+        super().begin_round()
 
-    def _insert(self, key: Hashable, value: Any) -> None:
+    def seal(self) -> None:
+        """Fold every pending task dict (closing its handle); no more emits."""
+        self._fold()
+        super().seal()
+
+    def emitter(self, task_id: int) -> Emitter:
+        """Register a fresh private dict for one map task."""
         self._check_open()
-        idx = stable_hash(key) % len(self._shards)
-        shard = self._shards[idx]
-        with self._locks[idx]:
-            self._emits += 1
-            if key in shard:
-                shard[key] = self.combiner.update(shard[key], value)
+        handle = _TaskEmitter(self, task_id)
+        with self._lock:  # only registration locks
+            self._pending.append(handle)
+        return handle
+
+    def _fold(self) -> None:
+        # Stable sort: a task registered twice (a retry) keeps its place.
+        with self._lock:
+            pending, self._pending = self._pending, []
+        for handle in sorted(pending, key=_by_task):
+            local, handle.local = handle.local, _CLOSED
+            self._emits += handle.emits
+            if self._table:
+                self._merge(local.items())
             else:
-                shard[key] = self.combiner.initial(value)
+                self._table = local  # adopt: O(1) for a one-task worker
+
+    def _merge(self, items: Iterable[tuple[Hashable, Any]]) -> None:
+        table, merge = self._table, self.combiner.merge
+        for key, state in items:
+            table[key] = merge(table[key], state) if key in table else state
 
     def partitions(self, n: int) -> list[list[tuple[Hashable, Any]]]:
         """Reducer partitions by key hash; values are combiner-finished."""
@@ -69,49 +111,33 @@ class HashContainer(Container):
         if not self.sealed:
             raise ContainerError("partitions() before seal()")
         parts: list[list[tuple[Hashable, Any]]] = [[] for _ in range(n)]
-        for shard in self._shards:
-            for key, state in shard.items():
-                parts[stable_hash(key) % n].append((key, self.combiner.finish(state)))
+        finish = self.combiner.finish
+        for key, state in self._table.items():
+            parts[stable_hash(key) % n].append((key, finish(state)))
         return parts
 
     def drain(self) -> ContainerDelta:
-        """Pack combined (key, state) pairs for the parent to absorb.
-
-        States are *pre-finish* combiner states, so absorbing merges
-        them with :meth:`~repro.containers.combiners.Combiner.merge`
-        instead of re-running ``initial``/``update`` per original emit —
-        that is the in-worker-combining payoff: the pipe carries one
-        pair per distinct key, not one per emit.
-        """
-        items = [
-            (key, state) for shard in self._shards for key, state in shard.items()
-        ]
+        """Pack pre-finish (key, state) pairs: one per key, not per emit."""
+        self._fold()
+        items = list(self._table.items())
         return ContainerDelta(kind="hash", emits=self._emits, items=items)
 
     def absorb(self, delta: ContainerDelta) -> None:
-        """Merge a worker's combined pairs into the live shards."""
+        """Merge a worker's combined pairs into the table."""
         if delta.kind != "hash":
             raise ContainerError(
                 f"HashContainer cannot absorb a {delta.kind!r} delta"
             )
         self._check_open()
-        for key, state in delta.items:
-            idx = stable_hash(key) % len(self._shards)
-            shard = self._shards[idx]
-            with self._locks[idx]:
-                if key in shard:
-                    shard[key] = self.combiner.merge(shard[key], state)
-                else:
-                    shard[key] = state
+        self._fold()
+        self._merge(delta.items)
         self._emits += delta.emits
 
     def stats(self) -> ContainerStats:
-        """Emit/key counters across all shards."""
-        return ContainerStats(
-            emits=self._emits,
-            distinct_keys=sum(len(s) for s in self._shards),
-            rounds=self.rounds,
-        )
+        """Emit/key counters (pending task dicts fold first)."""
+        self._fold()
+        return ContainerStats(self._emits, len(self._table), self.rounds)
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self._shards)
+        self._fold()
+        return len(self._table)

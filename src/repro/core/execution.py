@@ -19,7 +19,7 @@ from concurrent.futures import Executor
 from typing import Any, Hashable, Sequence
 
 from repro.chunking.boundary import adjust_split_point
-from repro.containers.base import Container
+from repro.containers.base import Container, ContainerDelta
 from repro.core.job import JobSpec, MapContext
 from repro.core.options import MergeAlgorithm, RuntimeOptions
 from repro.errors import FaultInjected, RuntimeStateError
@@ -50,6 +50,22 @@ Pair = tuple[Hashable, Any]
 _FORK_MERGE_MIN_PAIRS = 20_000
 
 
+def _map_task_delta(
+    job: JobSpec, task_id: int, chunk_index: int, split: "SplitRef | ByteSpan"
+) -> ContainerDelta:
+    """Run one map task against a private container and drain it.
+
+    The process backend's worker body: combining happens here, before
+    anything is serialized, and the parent absorbs the delta.
+    """
+    data = split.resolve() if isinstance(split, SplitRef) else split
+    local = job.container_factory()
+    local.begin_round()
+    job.map_fn(MapContext(data, local.emitter(task_id), task_id, chunk_index))
+    local.seal()
+    return local.drain()
+
+
 def job_task_handler(job: JobSpec) -> "Any":
     """The persistent pool's dispatch body: one closure for every phase.
 
@@ -64,18 +80,7 @@ def job_task_handler(job: JobSpec) -> "Any":
         kind = task[0]
         if kind == "map":
             _kind, task_id, chunk_index, split = task
-            data = split.resolve() if isinstance(split, SplitRef) else split
-            local = job.container_factory()
-            local.begin_round()
-            ctx = MapContext(
-                data=data,
-                emitter=local.emitter(task_id),
-                task_id=task_id,
-                chunk_index=chunk_index,
-            )
-            job.map_fn(ctx)
-            local.seal()
-            return local.drain()
+            return _map_task_delta(job, task_id, chunk_index, split)
         if kind == "reduce":
             out: list[Pair] = []
             for key, values in task[1]:
@@ -434,19 +439,7 @@ def _run_mapper_wave_process(
 
     def map_task(item: "tuple[int, SplitRef | ByteSpan]") -> Any:
         i, split = item
-        task_id = task_id_base + i
-        resolved = split.resolve() if isinstance(split, SplitRef) else split
-        local = job.container_factory()
-        local.begin_round()
-        ctx = MapContext(
-            data=resolved,
-            emitter=local.emitter(task_id),
-            task_id=task_id,
-            chunk_index=chunk_index,
-        )
-        job.map_fn(ctx)
-        local.seal()
-        return local.drain()
+        return _map_task_delta(job, task_id_base + i, chunk_index, split)
 
     map_task_armed = injector is not None and injector.armed(SITE_MAP_TASK)
     if options.supervised_pool:

@@ -100,18 +100,6 @@ def _sever(sock: socket.socket) -> None:
         pass
 
 
-def recv_frame_idle(
-    sock: socket.socket, stall_timeout_s: "float | None" = None
-) -> "dict[str, Any] | bytes":
-    """Receive one frame from a long-lived connection.
-
-    Idle between frames is legitimate (control connections sit quiet
-    while workers compute), so only a *started* frame is held to the
-    stall deadline — the same discipline the service daemon applies.
-    """
-    return recv_frame(sock, timeout_s=stall_timeout_s, idle_ok=True)
-
-
 def with_retries(
     fn: "Callable[[int], T]",
     retries: int = 3,

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import heapq
 import shutil
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
@@ -192,8 +191,3 @@ def collect_worker_events(log: Any, events: Iterable[EventRow]) -> None:
     """Replay worker-side event rows into the coordinator's fault log."""
     for site, action, detail, scope, attempt in events:
         log.record(site, action, detail, scope=scope, attempt=attempt)
-
-
-def elapsed_since(started: float) -> float:
-    """Seconds since ``started`` on the perf-counter clock."""
-    return time.perf_counter() - started

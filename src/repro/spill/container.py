@@ -83,6 +83,8 @@ class SpillableContainer(Container):
         super().begin_round()
         with self._lock:
             self._inner.begin_round()
+            # A wave boundary closes the inner container's task handles.
+            self._task_emitters.clear()
 
     def seal(self) -> None:
         """No more emits; the inner container is sealed alongside."""

@@ -81,7 +81,7 @@ class TestCombinerMerge:
                 right = combiner.update(right, v)
             assert combiner.merge(left, right) == whole, type(combiner).__name__
 
-    def test_default_merge_refuses(self):
+    def test_mergeless_combiner_cannot_be_instantiated(self):
         class Opaque(Combiner):
             def initial(self, value):
                 """First value."""
@@ -91,13 +91,13 @@ class TestCombinerMerge:
                 """Keep state."""
                 return state
 
-        with pytest.raises(NotImplementedError, match="cannot merge"):
-            Opaque().merge(1, 2)
+        with pytest.raises(TypeError, match="merge"):
+            Opaque()
 
 
 class TestHashTransport:
     def test_round_trip_matches_direct(self):
-        factory = lambda: HashContainer(SumCombiner(), shards=4)  # noqa: E731
+        factory = lambda: HashContainer(SumCombiner())  # noqa: E731
         direct = _direct(factory, _EMITS)
         via = _via_transport(factory, _EMITS, tasks=[0, 1, 2])
         assert sorted(via.partitions(3), key=str) == sorted(

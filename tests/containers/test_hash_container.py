@@ -55,10 +55,6 @@ class TestLifecycle:
         assert all_pairs == [(b"w", [3])]
         assert c.rounds == 2
 
-    def test_invalid_shards(self):
-        with pytest.raises(ContainerError):
-            HashContainer(shards=0)
-
 
 class TestCombiningAndPartitions:
     def test_combines_on_insert(self):
@@ -119,7 +115,7 @@ class TestCombiningAndPartitions:
     @given(st.lists(st.tuples(st.integers(min_value=0, max_value=20),
                               st.integers(min_value=-5, max_value=5))))
     def test_property_sums_match_naive(self, pairs):
-        c = HashContainer(SumCombiner(), shards=4)
+        c = HashContainer(SumCombiner())
         c.begin_round()
         fill(c, pairs)
         c.seal()
